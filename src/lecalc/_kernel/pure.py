@@ -8,12 +8,19 @@ variable permutation (for kind 2 the block prefix length rides along).
 
 normal_form_terms reduces a term list modulo a list of such term lists
 (each nonzero, leading term first) and returns the fully reduced remainder
-in the same representation.
+in the same representation. The terms still to be reduced sit in a dict
+from exponent to coefficient, with a binary heap over their monomials
+giving the largest one next. Each monomial's heap key, a flat tuple whose
+ascending order is the descending monomial order, is computed once, when
+the monomial enters the dict; a term that cancels keeps its entry, with
+coefficient zero, until the heap reaches it.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, List, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -58,6 +65,44 @@ def make_key(descriptor) -> Callable[[Exponent], tuple]:
     raise ValueError("unknown order kind %r" % (kind,))
 
 
+def _picker(positions: Sequence[int]) -> Callable[[Exponent], tuple]:
+    # itemgetter returns a bare value for one position and refuses none
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        p = positions[0]
+        return lambda exp: (exp[p],)
+    return lambda exp: ()
+
+
+def _descending_key(descriptor) -> Callable[[Exponent], tuple]:
+    """Flat tuple key whose ascending order is the descending order of
+    make_key(descriptor); distinct exponents get distinct keys."""
+    kind, perm, block = descriptor
+    if kind == KIND_LEX:
+        pick = _picker(perm)
+
+        def dkey(exp):
+            return tuple([-e for e in pick(exp)])
+        return dkey
+    if kind == KIND_DEGREVLEX:
+        pick = _picker(tuple(reversed(perm)))
+
+        def dkey(exp):
+            return (-sum(exp),) + pick(exp)
+        return dkey
+    if kind == KIND_BLOCK:
+        pick_head = _picker(tuple(reversed(perm[:block])))
+        pick_tail = _picker(tuple(reversed(perm[block:])))
+
+        def dkey(exp):
+            h = pick_head(exp)
+            t = pick_tail(exp)
+            return (-sum(h),) + h + (-sum(t),) + t
+        return dkey
+    raise ValueError("unknown order kind %r" % (kind,))
+
+
 def _divides(a: Exponent, b: Exponent) -> bool:
     for x, y in zip(a, b):
         if x > y:
@@ -76,13 +121,19 @@ def normal_form_terms(
     divides the term under consideration, so the result is deterministic
     for a fixed basis order.
     """
-    key = make_key(descriptor)
+    dkey = _descending_key(descriptor)
     work = {exp: c for exp, c in terms}
+    heap = [(dkey(exp), exp) for exp in work]
+    heapq.heapify(heap)
     remainder: List[Term] = []
     lead = [(b[0][0], b[0][1], b) for b in basis]
 
-    while work:
-        exp = max(work, key=key)
+    # Every term a reduction step creates lies below the term it removes,
+    # so a popped monomial never re-enters `work`. A term that cancels
+    # stays in `work` with coefficient zero until it is popped, so each
+    # monomial has exactly one heap entry, pushed when it first appears.
+    while heap:
+        exp = heapq.heappop(heap)[1]
         coeff = work.pop(exp)
         if not coeff:
             continue
@@ -101,14 +152,11 @@ def normal_form_terms(
             if bexp == lm:
                 continue
             t = tuple(e + s for e, s in zip(bexp, shift))
-            v = work.get(t, _ZERO) - factor * bc
-            if v:
-                work[t] = v
+            old = work.get(t)
+            if old is None:
+                work[t] = -factor * bc
+                heapq.heappush(heap, (dkey(t), t))
             else:
-                work.pop(t, None)
+                work[t] = old - factor * bc
 
-    remainder.sort(key=lambda t: key(t[0]), reverse=True)
     return remainder
-
-
-_ZERO = Fraction(0)

@@ -493,23 +493,21 @@ def _saturate_principal(I: Ideal, g: Polynomial) -> Ideal:
 def saturate(I: Ideal, J: Ideal) -> Ideal:
     """The saturation (I : J^infinity).
 
-    Principal J goes through the inverted-element trick in one elimination;
-    several generators go through iterated colon ideals until the reduced
-    basis stops moving.
+    Each nonzero generator g of J is inverted by the auxiliary-variable
+    trick, one elimination giving (I : g^infinity), and the results are
+    intersected: (I : J^infinity) is the intersection over the generators
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 4.4). The
+    result is given by its reduced degrevlex basis.
     """
     if I.frame != J.frame:
         raise InputError("ideal frames differ")
     nonzero = [g for g in J.generators if not g.is_zero()]
     if not nonzero:
         return unit_ideal(I.frame)
-    if len(nonzero) == 1:
-        return _saturate_principal(I, nonzero[0])
-    prev = I
-    while True:
-        nxt = ideal_quotient(prev, J)
-        if equal_ideals(nxt, prev):
-            return nxt
-        prev = nxt
+    result = _saturate_principal(I, nonzero[0])
+    for g in nonzero[1:]:
+        result = intersect(result, _saturate_principal(I, g))
+    return result
 
 
 # -- dimension and counting -----------------------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lecalc import (
     Ideal,
@@ -241,6 +241,61 @@ class TestProperties:
         ideal = I(F2, "x^%d" % a, "y^%d" % b)
         assert colength(ideal) == a * b
         assert dim_at_origin(ideal) == 0
+
+
+def _saturate_by_colon_fixpoint(I, J):
+    """Reference saturation: iterate (I : J) until the ideal stops moving."""
+    prev = I
+    while True:
+        nxt = ideal_quotient(prev, J)
+        if equal_ideals(nxt, prev):
+            return nxt
+        prev = nxt
+
+
+@st.composite
+def _small_polynomial(draw, frame):
+    n = frame.ambient_dimension
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        exp = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(n))
+        terms[exp] = Fraction(draw(st.sampled_from((-2, -1, 1, 2))))
+    return Polynomial(frame, terms)
+
+
+@st.composite
+def _saturation_case(draw):
+    frame = draw(st.sampled_from((F2, F3)))
+    gens = draw(st.lists(_small_polynomial(frame), min_size=1, max_size=2))
+    # a variable factor gives a component or embedded point to saturate away
+    gens[0] = gens[0] * Polynomial.variable(frame, draw(st.sampled_from(frame.names)))
+    ideal = Ideal(frame, gens)
+    if draw(st.booleans()):
+        return ideal, maximal_ideal(frame)
+    gens = draw(st.lists(_small_polynomial(frame), min_size=1, max_size=3))
+    if len(gens) < 2 or (len(gens) < 3 and draw(st.booleans())):
+        gens.insert(draw(st.integers(min_value=0, max_value=len(gens))), Polynomial.zero(frame))
+    return ideal, Ideal(frame, gens)
+
+
+class TestSaturationIdentity:
+    # (I : J^infinity) is the intersection of the (I : g^infinity) over the
+    # generators g of J; the colon fixpoint computes the same ideal without
+    # using that identity
+    @given(_saturation_case())
+    @example((I(F2, "x^2", "x*y"), maximal_ideal(F2)))
+    @example((I(F3, "x*y*z"), I(F3, "0", "x", "y + z")))
+    @example((I(F2, "x^2*y - y^2"), I(F2, "0", "0")))
+    @example((I(F3, "x*z - y^2", "x^2*y"), maximal_ideal(F3)))
+    def test_saturate_matches_colon_fixpoint(self, case):
+        ideal, J = case
+        sat = saturate(ideal, J)
+        ref = _saturate_by_colon_fixpoint(ideal, J)
+        assert equal_ideals(sat, ref)
+        # saturate hands back the reduced basis itself as generators, so
+        # everything built from them downstream is canonical
+        reduced = groebner_basis(ref) or [Polynomial.zero(ideal.frame)]
+        assert list(sat.generators) == reduced
 
 
 def test_is_zero_ideal():
