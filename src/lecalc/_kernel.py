@@ -1,4 +1,4 @@
-"""Pure-Python normal-form kernel.
+"""The normal-form kernel: the inner division loop of every Groebner basis.
 
 The interface is a flat term representation: a term list is a list of
 (exponent_tuple, Fraction) pairs sorted strictly descending under the
@@ -30,6 +30,7 @@ KIND_LEX = 0
 KIND_DEGREVLEX = 1
 KIND_BLOCK = 2
 
+# exported as lecalc.kernel_backend; there is one kernel, in pure Python
 BACKEND = "pure"
 
 

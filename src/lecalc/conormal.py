@@ -31,7 +31,7 @@ from .lecycles import (
     GammaChain,
     LeNumbers,
     _coerce_frame,
-    _frame_attempts,
+    _genericize,
     _improper_message,
     _numbers_from_chain,
     _run_chain,
@@ -306,22 +306,7 @@ def le_vogel_numbers(
         if not chain.proper:
             raise MathematicalRefusal(_improper_message(chain))
     else:
-        failures: List[str] = []
-        chain = None
-        for cand in _frame_attempts(X.frame, seed, budget):
-            attempt_chain = _levogel_chain(X, f, cand)
-            if attempt_chain.proper:
-                chain = attempt_chain
-                break
-            failures.append(
-                "attempt %d (%s): %s"
-                % (cand.attempt, cand.provenance, _improper_message(attempt_chain))
-            )
-        if chain is None:
-            raise MathematicalRefusal(
-                "no generic coordinate frame found within budget %d; %s"
-                % (budget, "; ".join(failures[-3:]))
-            )
+        _, chain = _genericize(lambda c: _levogel_chain(X, f, c), X.frame, seed, budget)
     return _numbers_from_chain(chain, "levogel"), chain
 
 

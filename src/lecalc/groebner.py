@@ -6,8 +6,8 @@ basis so that ideal equality is plain list equality. On top of it sit
 elimination, intersection, quotient, saturation, Krull dimension, colength
 of zero-dimensional ideals, and local counts at the origin.
 
-All arithmetic is exact. The inner division loop lives in lecalc._kernel
-and has interchangeable pure-Python and compiled backends.
+All arithmetic is exact. The inner division loop lives in lecalc._kernel,
+a pure-Python module.
 """
 
 from __future__ import annotations
@@ -462,11 +462,15 @@ def _quotient_single(I: Ideal, g: Polynomial) -> Ideal:
     gens = [_exact_divide(h, g) for h in inter.generators if not h.is_zero()]
     if not gens:
         return zero_ideal(I.frame)
-    return Ideal(I.frame, tuple(gens))
+    return Ideal(I.frame, groebner_basis(Ideal(I.frame, gens)))
 
 
 def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
-    """The colon ideal (I : J)."""
+    """The colon ideal (I : J), given by its reduced degrevlex basis.
+
+    (I : g) is (I meet (g)) / g for each nonzero generator g of J, and
+    (I : J) is the intersection of these.
+    """
     if I.frame != J.frame:
         raise InputError("ideal frames differ")
     nonzero = [g for g in J.generators if not g.is_zero()]

@@ -108,6 +108,21 @@ class TestQuotientSaturation:
     def test_quotient_strips_one_factor(self):
         assert equal_ideals(ideal_quotient(I(F2, "x^2*y"), I(F2, "x")), I(F2, "x*y"))
 
+    @pytest.mark.parametrize(
+        "gens, divisors, expected",
+        [
+            (("-2",), ("0", "-2"), ("1",)),
+            (("2*x^2*y", "4*x*y^2"), ("3*x",), ("x*y", "y^2")),
+            (("x^2*y", "x*y^2"), ("x", "y"), ("x*y",)),
+        ],
+    )
+    def test_quotient_is_its_reduced_basis(self, gens, divisors, expected):
+        # with one nonzero generator g in J the quotient comes from the
+        # divisions h / g, which are neither monic nor reduced by themselves
+        quotient = ideal_quotient(I(F2, *gens), I(F2, *divisors))
+        assert list(quotient.generators) == groebner_basis(quotient)
+        assert list(quotient.generators) == [P(t) for t in expected]
+
     def test_saturate_removes_component(self):
         assert equal_ideals(saturate(I(F2, "x*y"), I(F2, "x")), I(F2, "y"))
 

@@ -1,8 +1,8 @@
-"""Differential tests of the normal-form kernels.
+"""Differential tests of the normal-form kernel.
 
-The reference below is the max-scan division loop the pure kernel used
-before it kept its work terms in a heap. Every kernel must return the
-identical term list, coefficient for coefficient and in the same order.
+The reference below is the max-scan division loop the kernel used before
+it kept its work terms in a heap. The kernel must return the identical
+term list, coefficient for coefficient and in the same order.
 """
 
 import random
@@ -10,12 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from lecalc._kernel import KIND_BLOCK, KIND_DEGREVLEX, KIND_LEX, make_key, pure
-
-try:
-    from lecalc._kernel import _speedups
-except ImportError:
-    _speedups = None
+from lecalc import _kernel
+from lecalc._kernel import KIND_BLOCK, KIND_DEGREVLEX, KIND_LEX, make_key
 
 _ZERO = Fraction(0)
 
@@ -56,11 +52,8 @@ def _reference_normal_form_terms(terms, basis, descriptor):
     return remainder
 
 
-def _kernels():
-    out = [pure]
-    if _speedups is not None:
-        out.append(_speedups)
-    return out
+# the one kernel, labelled by its backend name as in lecalc.kernel_backend
+_KERNEL = pytest.mark.parametrize("kernel", [_kernel], ids=[_kernel.BACKEND])
 
 
 def _descriptors(n):
@@ -102,7 +95,7 @@ def _random_case(rng, n, descriptor):
     return terms, basis
 
 
-@pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.BACKEND)
+@_KERNEL
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kernel_matches_max_scan_reference(kernel, n):
     rng = random.Random(0x5EED + n)
@@ -116,7 +109,7 @@ def test_kernel_matches_max_scan_reference(kernel, n):
     assert nonzero > 0
 
 
-@pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.BACKEND)
+@_KERNEL
 def test_term_cancelled_then_recreated(kernel):
     # lex, x > y, basis (x^2 - x*y, y^2 - y), input x^2 + x*y^2 - x*y:
     # reducing x^2 cancels x*y, reducing x*y^2 creates x*y again
@@ -127,7 +120,7 @@ def test_term_cancelled_then_recreated(kernel):
     assert kernel.normal_form_terms(terms, basis, descriptor) == [((1, 1), one)]
 
 
-@pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.BACKEND)
+@_KERNEL
 def test_first_dividing_basis_element_is_used(kernel):
     # Cox-Little-O'Shea's example: x^2*y + x*y^2 + y^2 divided by
     # (x*y - 1, y^2 - 1) in lex leaves x + y + 1, in the other order 2*x + 1
