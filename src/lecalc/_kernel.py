@@ -1,30 +1,38 @@
 """The normal-form kernel: the inner division loop of every Groebner basis.
 
 The interface is a flat term representation: a term list is a list of
-(exponent_tuple, Fraction) pairs sorted strictly descending under the
-order key. The order is passed as a descriptor (kind, perm) where kind
-is 0 for lex, 1 for degrevlex, 2 for block elimination; perm is the
-variable permutation (for kind 2 the block prefix length rides along).
+(exponent_tuple, coefficient) pairs, the coefficients `int` or `Fraction`.
+The order is passed as a descriptor (kind, perm) where kind is 0 for lex,
+1 for degrevlex, 2 for block elimination; perm is the variable permutation
+(for kind 2 the block prefix length rides along).
 
-normal_form_terms reduces a term list modulo a list of such term lists
-(each nonzero, leading term first) and returns the fully reduced remainder
-in the same representation. The terms still to be reduced sit in a dict
-from exponent to coefficient, with a binary heap over their monomials
-giving the largest one next. Each monomial's heap key, a flat tuple whose
-ascending order is the descending monomial order, is computed once, when
-the monomial enters the dict; a term that cancels keeps its entry, with
-coefficient zero, until the heap reaches it.
+normal_form_terms reduces a term list, given in any order, modulo a list
+of term lists (each nonzero, leading term first) and returns the fully
+reduced remainder, sorted strictly descending. The terms still to be
+reduced sit in a dict from exponent to coefficient, with a binary heap
+over their monomials giving the largest one next. Each monomial's heap
+key, a flat tuple whose ascending order is the descending monomial order,
+is computed once, when the monomial enters the dict; a term that cancels
+keeps its entry, with coefficient zero, until the heap reaches it.
+
+Integer coefficients are reduced fraction-free: before a step whose
+leading coefficient does not divide the term's, the work terms and the
+remainder are multiplied by lc/gcd and the scale is recorded, so the
+loop never builds a Fraction. The returned remainder is exact: it is
+divided by the accumulated scale when that scale is not 1.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, List, Sequence, Tuple
+from math import gcd
+from operator import itemgetter, neg
+from typing import Callable, List, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
-Term = Tuple[Exponent, Fraction]
+Coefficient = Union[int, Fraction]
+Term = Tuple[Exponent, Coefficient]
 
 KIND_LEX = 0
 KIND_DEGREVLEX = 1
@@ -35,33 +43,24 @@ BACKEND = "pure"
 
 
 def make_key(descriptor) -> Callable[[Exponent], tuple]:
-    """Comparison key for exponent tuples under the descriptor's order."""
+    """Flat tuple key whose ascending order is the descriptor's order."""
     kind, perm, block = descriptor
     if kind == KIND_LEX:
-        def key(exp, _perm=perm):
-            return tuple(exp[p] for p in _perm)
-        return key
+        return _picker(perm)
     if kind == KIND_DEGREVLEX:
-        rev = tuple(reversed(perm))
+        pick = _picker(tuple(reversed(perm)))
 
-        def key(exp, _rev=rev):
-            return (sum(exp), tuple(-exp[p] for p in _rev))
+        def key(exp):
+            return (sum(exp),) + tuple(map(neg, pick(exp)))
         return key
     if kind == KIND_BLOCK:
-        head = perm[:block]
-        tail = perm[block:]
-        rhead = tuple(reversed(head))
-        rtail = tuple(reversed(tail))
+        pick_head = _picker(tuple(reversed(perm[:block])))
+        pick_tail = _picker(tuple(reversed(perm[block:])))
 
-        def key(exp, _h=head, _t=tail, _rh=rhead, _rt=rtail):
-            dh = sum(exp[p] for p in _h)
-            dt = sum(exp[p] for p in _t)
-            return (
-                dh,
-                tuple(-exp[p] for p in _rh),
-                dt,
-                tuple(-exp[p] for p in _rt),
-            )
+        def key(exp):
+            h = pick_head(exp)
+            t = pick_tail(exp)
+            return (sum(h),) + tuple(map(neg, h)) + (sum(t),) + tuple(map(neg, t))
         return key
     raise ValueError("unknown order kind %r" % (kind,))
 
@@ -128,6 +127,7 @@ def normal_form_terms(
     heapq.heapify(heap)
     remainder: List[Term] = []
     lead = [(b[0][0], b[0][1], b) for b in basis]
+    scale = 1
 
     # Every term a reduction step creates lies below the term it removes,
     # so a popped monomial never re-enters `work`. A term that cancels
@@ -147,7 +147,20 @@ def normal_form_terms(
             remainder.append((exp, coeff))
             continue
         lm, lc, b = hit
-        factor = coeff / lc
+        if type(coeff) is int and type(lc) is int:
+            # coeff * mult == factor * lc, with mult > 0 as small as possible
+            g = gcd(coeff, lc)
+            if lc < 0:
+                g = -g
+            factor = coeff // g
+            mult = lc // g
+            if mult != 1:
+                scale *= mult
+                for t in work:
+                    work[t] *= mult
+                remainder = [(e, c * mult) for e, c in remainder]
+        else:
+            factor = coeff / lc
         shift = tuple(e - m for e, m in zip(exp, lm))
         for bexp, bc in b:
             if bexp == lm:
@@ -160,4 +173,6 @@ def normal_form_terms(
             else:
                 work[t] = old - factor * bc
 
+    if scale != 1:
+        remainder = [(e, Fraction(c, scale)) for e, c in remainder]
     return remainder

@@ -1,12 +1,22 @@
 """Groebner bases over the rationals and the ideal operations built on them.
 
-The engine is Buchberger's algorithm with the normal selection strategy and
-the product and chain criteria, always finishing with the unique reduced
-basis so that ideal equality is plain list equality. On top of it sit
-elimination, intersection, quotient, saturation, Krull dimension, colength
-of zero-dimensional ideals, and local counts at the origin.
+The engine is Buchberger's algorithm with the normal selection strategy,
+always finishing with the unique reduced basis so that ideal equality is
+plain list equality. On top of it sit elimination, intersection, quotient,
+saturation, Krull dimension, colength of zero-dimensional ideals, and local
+counts at the origin.
 
-All arithmetic is exact. The inner division loop lives in lecalc._kernel,
+Pairs are pruned by Buchberger's criteria (Buchberger 1979, "A criterion
+for detecting unnecessary reductions"). A pair whose leading monomials are
+coprime, or whose two elements are both monomials, is settled when it is
+created and never queued. The chain criterion is tested when a pair is
+selected, counting such settled pairs as treated.
+
+All arithmetic is exact. Rationals live only at the two ends: each input
+generator is cleared of denominators once, Buchberger's loop, its
+S-polynomials and the interreduction run on primitive integer term lists
+with fraction-free reduction, and the interreduction makes the final basis
+monic over the rationals. The inner division loop lives in lecalc._kernel,
 a pure-Python module.
 """
 
@@ -15,6 +25,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import _kernel
@@ -27,7 +39,7 @@ from .polyparse import (
 )
 
 Exponent = Tuple[int, ...]
-Term = Tuple[Exponent, Fraction]
+Term = _kernel.Term
 TermList = List[Term]
 
 _F0 = Fraction(0)
@@ -37,7 +49,7 @@ class MonomialOrder:
     """A monomial order on a frame: lex, degrevlex, or block elimination.
 
     The order is carried as a descriptor (kind, permutation, block size)
-    that both kernel backends interpret identically.
+    that lecalc._kernel interprets; its make_key gives the sort key.
     """
 
     __slots__ = ("frame", "kind", "perm", "block")
@@ -154,10 +166,6 @@ def register_basis_observer(fn: Callable) -> Callable:
     return fn
 
 
-def unregister_basis_observer(fn: Callable) -> None:
-    _basis_observers.remove(fn)
-
-
 # -- core algorithm -----------------------------------------------------------
 
 def _to_terms(p: Polynomial, key) -> TermList:
@@ -171,70 +179,78 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return True
 
 
-def spoly_terms(f: TermList, g: TermList, key) -> TermList:
-    """S-polynomial of two nonzero term lists, sorted for the given key."""
-    lmf, lcf = f[0]
-    lmg, lcg = g[0]
-    l = tuple(max(a, b) for a, b in zip(lmf, lmg))
+def _primitive(terms: TermList) -> TermList:
+    """The integer multiple of a nonzero term list whose coefficients have
+    no common factor and whose leading coefficient is positive."""
+    den = lcm(*[c.denominator for _, c in terms])
+    nums = [c.numerator * (den // c.denominator) for _, c in terms]
+    content = gcd(*nums)
+    if nums[0] < 0:
+        content = -content
+    return [(e, n // content) for (e, _), n in zip(terms, nums)]
+
+
+def spoly_terms(f: TermList, g: TermList, key=None) -> TermList:
+    """S-polynomial of two nonzero term lists, with the smallest integer
+    multipliers that cancel the leading terms. The terms come in no
+    particular order unless a sort key is given."""
+    (lmf, lcf), (lmg, lcg) = f[0], g[0]
+    l = tuple(map(max, lmf, lmg))
     sf = tuple(a - b for a, b in zip(l, lmf))
     sg = tuple(a - b for a, b in zip(l, lmg))
-    acc: Dict[Exponent, Fraction] = {}
-    for e, c in f:
-        t = tuple(x + y for x, y in zip(e, sf))
-        v = acc.get(t, _F0) + c / lcf
+    ratio = Fraction(lcg, lcf)
+    mf, mg = ratio.numerator, ratio.denominator
+    acc: Dict[Exponent, _kernel.Coefficient] = {}
+    for e, c in f[1:]:
+        acc[tuple(map(add, e, sf))] = mf * c
+    for e, c in g[1:]:
+        t = tuple(map(add, e, sg))
+        v = acc.get(t, 0) - mg * c
         if v:
             acc[t] = v
         else:
             acc.pop(t, None)
-    for e, c in g:
-        t = tuple(x + y for x, y in zip(e, sg))
-        v = acc.get(t, _F0) - c / lcg
-        if v:
-            acc[t] = v
-        else:
-            acc.pop(t, None)
-    return sorted(acc.items(), key=lambda t: key(t[0]), reverse=True)
+    out = list(acc.items())
+    if key is not None:
+        out.sort(key=lambda t: key(t[0]), reverse=True)
+    return out
 
 
 def _buchberger(gens: List[TermList], descriptor) -> List[TermList]:
+    """A Groebner basis of primitive integer term lists, leading term first."""
     key = _kernel.make_key(descriptor)
     G = [g for g in gens if g]
-    if not G:
-        return []
-
     heap: List[tuple] = []
     pending = set()
 
-    def push(i: int, j: int) -> None:
-        l = tuple(max(a, b) for a, b in zip(G[i][0][0], G[j][0][0]))
-        heapq.heappush(heap, (key(l), i, j, l))
-        pending.add((i, j))
+    def add_pairs(j: int) -> None:
+        # the product criterion, and pairs of monomials, whose S-polynomial
+        # is zero: both have a standard representation from the pair alone
+        lmj = G[j][0][0]
+        monomial = len(G[j]) == 1
+        for i in range(j):
+            lmi = G[i][0][0]
+            if not any(map(min, lmi, lmj)) or (monomial and len(G[i]) == 1):
+                continue
+            l = tuple(map(max, lmi, lmj))
+            heapq.heappush(heap, (key(l), i, j, l))
+            pending.add((i, j))
 
     for j in range(len(G)):
-        for i in range(j):
-            push(i, j)
+        add_pairs(j)
 
     while heap:
         _, i, j, l = heapq.heappop(heap)
         pending.discard((i, j))
-        # a pair of monomials always has S-polynomial zero
-        if len(G[i]) == 1 and len(G[j]) == 1:
-            continue
-        lmi = G[i][0][0]
-        lmj = G[j][0][0]
-        if all(a + b == c for a, b, c in zip(lmi, lmj, l)):
-            continue
         if _chain_skips(i, j, l, G, pending):
             continue
-        s = spoly_terms(G[i], G[j], key)
+        s = spoly_terms(G[i], G[j])
         if not s:
             continue
         r = _kernel.normal_form_terms(s, G, descriptor)
         if r:
-            t = len(G)
-            G.append(r)
-            for k in range(t):
-                push(k, t)
+            G.append(_primitive(r))
+            add_pairs(len(G) - 1)
     return G
 
 
@@ -263,18 +279,14 @@ def _minimalize(G: List[TermList], key) -> List[TermList]:
 
 
 def _interreduce(G: List[TermList], descriptor) -> List[TermList]:
+    # the one place where a basis becomes monic over the rationals
     key = _kernel.make_key(descriptor)
     G = list(G)
     for idx in range(len(G)):
         others = G[:idx] + G[idx + 1:]
         if others:
-            G[idx] = _kernel.normal_form_terms(G[idx], others, descriptor)
-    out: List[TermList] = []
-    for f in G:
-        lc = f[0][1]
-        if lc != 1:
-            f = [(e, c / lc) for e, c in f]
-        out.append(f)
+            G[idx] = _primitive(_kernel.normal_form_terms(G[idx], others, descriptor))
+    out = [[(e, Fraction(c, f[0][1])) for e, c in f] for f in G]
     out.sort(key=lambda f: key(f[0][0]), reverse=True)
     return out
 
@@ -288,7 +300,7 @@ def _gb_terms(ideal: Ideal, order: Optional[MonomialOrder] = None) -> Tuple[List
     cached = ideal._gb_cache.get(desc)
     if cached is None:
         key = order.key()
-        gens = [_to_terms(g, key) for g in ideal.generators if not g.is_zero()]
+        gens = [_primitive(_to_terms(g, key)) for g in ideal.generators if not g.is_zero()]
         raw = _buchberger(gens, desc)
         cached = _interreduce(_minimalize(raw, key), desc)
         ideal._gb_cache[desc] = cached
@@ -317,10 +329,6 @@ def normal_form(p: Polynomial, ideal: Ideal, order: Optional[MonomialOrder] = No
 
 def contains(ideal: Ideal, p: Polynomial) -> bool:
     return normal_form(p, ideal).is_zero()
-
-
-def ideal_contains(outer: Ideal, inner: Ideal) -> bool:
-    return all(contains(outer, g) for g in inner.generators)
 
 
 def equal_ideals(I: Ideal, J: Ideal) -> bool:

@@ -440,35 +440,6 @@ def translate(p: Polynomial, offsets: Sequence[object]) -> Polynomial:
     return _substitute(p, forms)
 
 
-# -- free-function wrappers over the operator methods ------------------------
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Sum of two polynomials over one frame."""
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Product of two polynomials over one frame."""
-    return p * q
-
-
-def scale(p: Polynomial, c) -> Polynomial:
-    """Scalar multiple."""
-    return p.scale(c)
-
-
-def power(p: Polynomial, n: int) -> Polynomial:
-    """Nonnegative integer power."""
-    return p ** n
-
-
-def partial_derivative(p: Polynomial, k: int) -> Polynomial:
-    """Formal partial derivative in variable z_k, 1-based per the frame order."""
-    if not 1 <= k <= p.frame.ambient_dimension:
-        raise InputError("variable index %d out of range 1..%d" % (k, p.frame.ambient_dimension))
-    return p.partial(k - 1)
-
-
 # -- parser ------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(

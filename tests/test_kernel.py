@@ -135,3 +135,26 @@ def test_first_dividing_basis_element_is_used(kernel):
     assert kernel.normal_form_terms(terms, [f2, f1], descriptor) == [
         ((1, 0), 2 * one), ((0, 0), one)
     ]
+
+
+def _as_int_terms(terms):
+    return [(exp, int(c)) for exp, c in terms]
+
+
+@_KERNEL
+@pytest.mark.parametrize("n", [2, 3])
+def test_integer_coefficients_reduce_fraction_free_to_the_exact_remainder(kernel, n):
+    # the same cases with int coefficients, in input order reversed: the
+    # fraction-free loop must return the remainder the Fraction loop gives
+    rng = random.Random(0x1D7 + n)
+    scaled = 0
+    for descriptor in _descriptors(n):
+        for _ in range(60):
+            terms, basis = _random_case(rng, n, descriptor)
+            expected = _reference_normal_form_terms(terms, basis, descriptor)
+            got = kernel.normal_form_terms(
+                _as_int_terms(reversed(terms)), [_as_int_terms(b) for b in basis], descriptor
+            )
+            assert got == expected
+            scaled += any(type(c) is Fraction for _, c in got)
+    assert scaled > 0
