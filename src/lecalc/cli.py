@@ -31,7 +31,6 @@ SCHEMA_VERSION = "1"
 MODES = ("milnor", "le", "levogel", "defect", "euler-check", "oracle")
 
 _X_MODES = {"levogel", "defect", "euler-check"}
-_FRAME_MODES = {"milnor", "le", "levogel", "defect", "euler-check"}
 
 
 class _CliInputError(Exception):
@@ -271,13 +270,32 @@ def _payload_le(report: DefectReport) -> dict:
 
 
 def _payload_levogel(report: DefectReport) -> dict:
-    return {
+    payload = {
         "d": _istr(report.d),
         "s": _istr(report.s),
         "lambda": _lambda_payload(report.lambda_numbers),
         "D": _istr(report.D),
         "chi_phi_0": _istr(report.chi_phi_0),
     }
+    if report.mode == "affine":  # a defect job without --X
+        payload["chi_fibre"] = _istr(report.chi_fibre)
+    return payload
+
+
+# the modes that take a frame: payload of the report, refusal message if s > 0
+_FRAME_MODES = {
+    "milnor": (
+        lambda rep: {"mu": _istr(0 if rep.s < 0 else rep.lambda_numbers[0])},
+        "non-isolated critical locus; use mode=le",
+    ),
+    "le": (_payload_le, None),
+    "levogel": (_payload_levogel, None),
+    "defect": (_payload_levogel, None),
+    "euler-check": (
+        lambda rep: {"defect": _istr(rep.D)},
+        "degeneracy locus has dimension %(s)d at the origin; use defect mode for the full sum",
+    ),
+}
 
 
 def _run_oracle(f: Polynomial) -> dict:
@@ -316,31 +334,11 @@ def run_job(job: JobSpec) -> Tuple[dict, int]:
         frame_payload = _frame_payload(rep.chain.frame)
         log_payload = _log_payload(rep.chain.properness_log)
 
-        if job.mode == "milnor":
-            if rep.s > 0:
-                err = {"kind": "refusal", "message": "non-isolated critical locus; use mode=le"}
-                return _report(job, None, err, frame_payload, log_payload, rep.identities), 2
-            mu = 0 if rep.s < 0 else rep.lambda_numbers[0]
-            payload = {"mu": _istr(mu)}
-        elif job.mode == "le":
-            payload = _payload_le(rep)
-        elif job.mode == "levogel":
-            payload = _payload_levogel(rep)
-        elif job.mode == "defect":
-            payload = _payload_levogel(rep)
-            if rep.mode == "affine":
-                payload["chi_fibre"] = _istr(rep.chi_fibre)
-        else:  # euler-check
-            if rep.s > 0:
-                err = {
-                    "kind": "refusal",
-                    "message": "degeneracy locus has dimension %d at the origin; "
-                    "use defect mode for the full sum" % rep.s,
-                }
-                return _report(job, None, err, frame_payload, log_payload, rep.identities), 2
-            payload = {"defect": _istr(rep.D)}
-
-        return _report(job, payload, None, frame_payload, log_payload, rep.identities), 0
+        payload_of, refusal = _FRAME_MODES[job.mode]
+        if refusal is not None and rep.s > 0:
+            err = {"kind": "refusal", "message": refusal % {"s": rep.s}}
+            return _report(job, None, err, frame_payload, log_payload, rep.identities), 2
+        return _report(job, payload_of(rep), None, frame_payload, log_payload, rep.identities), 0
     except MathematicalRefusal as exc:
         return _report(job, None, {"kind": "refusal", "message": str(exc)}), 2
     except InputError as exc:

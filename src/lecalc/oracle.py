@@ -3,7 +3,7 @@
 Each oracle attacks a special class of inputs with a method of its own:
 truncated-jet linear algebra for Milnor numbers, the join formula for sums
 of polynomials in disjoint variables, the factor count for homogeneous
-plane curves, and inclusion-exclusion for monomial ideals. Pipelines and
+plane curves, and a staircase count for monomial ideals. Pipelines and
 tests compare against these to certify the main computation.
 """
 
@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import add
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import _kernel
 from .polyparse import (
     InputError,
     MathematicalRefusal,
@@ -23,8 +23,6 @@ from .polyparse import (
 )
 
 Exponent = Tuple[int, ...]
-
-_F0 = Fraction(0)
 
 
 class OracleResult:
@@ -48,75 +46,108 @@ class OracleResult:
 
 # -- Milnor number by truncated jets -------------------------------------------
 
-def _jet_colength(partials: Sequence[Polynomial], frame: VariableFrame, K: int) -> int:
-    """Codimension of the span of monomial multiples of the partials inside
-    the space of jets of order below K."""
-    n = frame.ambient_dimension
-    key = _kernel.make_key((_kernel.KIND_DEGREVLEX, tuple(range(n)), 0))
-    echelon: Dict[Exponent, Dict[Exponent, Fraction]] = {}
+def _jet_colengths(partials: Sequence[Polynomial], n: int, degree_bound: int) -> Iterator[int]:
+    """Yield c(K), the codimension of the span of the monomial multiples of
+    the partials inside the jets of order below K, for K = 2, ..., degree_bound.
 
-    def reduce_insert(row: Dict[Exponent, Fraction]) -> None:
-        while row:
-            pivot = max(row, key=key)
-            got = echelon.get(pivot)
-            if got is None:
-                inv = Fraction(1) / row[pivot]
-                echelon[pivot] = {e: c * inv for e, c in row.items()}
-                return
-            factor = row[pivot]
-            for e, c in got.items():
-                v = row.get(e, _F0) - factor * c
-                if v:
-                    row[e] = v
-                else:
-                    row.pop(e, None)
+    One echelon grows with K. A row x^a * g is built and reduced once, at the
+    step where its lowest-degree term first has degree K - 1, that is
+    |a| + ord(g) = K - 1; the multiples not yet built at step K vanish
+    modulo m^K. The pivot of a row is its lowest-degree monomial, ties
+    broken by ascending exponent tuple. A row added at step K starts at
+    degree K - 1, and reducing it only subtracts rows whose pivot, and so
+    every term, is of degree K - 1 or more, so no pivot below degree K
+    moves after step K. Under a fixed total order the pivots of an echelon
+    are the leading monomials of its span, whichever way it was reduced,
+    and the elements of the span that vanish modulo m^K are exactly those
+    led by a pivot of degree K or more. The rank modulo m^K is therefore
+    the number of pivots of degree below K, and c(K) = C(K - 1 + n, n)
+    minus that number.
 
+    Rows are primitive integer dicts: each partial is cleared of
+    denominators once, rows are reduced fraction-free (scaled by lc/gcd)
+    and divided by their content when they join the echelon. Terms of
+    degree degree_bound and above never count towards any c(K) and are
+    dropped.
+    """
+    gens: List[Tuple[int, Dict[Tuple[int, ...], int]]] = []
     for g in partials:
         if g.is_zero():
             continue
-        room = K - 1 - g.min_total_degree()
-        if room < 0:
-            continue
-        for deg in range(room + 1):
-            for combo in itertools.combinations_with_replacement(range(n), deg):
-                shift = [0] * n
+        den = math.lcm(*(c.denominator for c in g.terms.values()))
+        ints = {e: c.numerator * (den // c.denominator) for e, c in g.terms.items()}
+        content = math.gcd(*ints.values())
+        # monomials as (degree, *exponents), so the plain tuple minimum is
+        # the pivot under the local order
+        gens.append(
+            (g.min_total_degree(), {(sum(e),) + e: c // content for e, c in ints.items()})
+        )
+    # pivot monomial -> row, each with a positive pivot coefficient
+    echelon: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
+    pivots_of_degree = [0] * degree_bound
+    rank_below = 0
+    for low in range(degree_bound):
+        for order, g in gens:
+            if order > low:
+                continue
+            for combo in itertools.combinations_with_replacement(range(n), low - order):
+                shift = [len(combo)] + [0] * n
                 for i in combo:
-                    shift[i] += 1
-                row: Dict[Exponent, Fraction] = {}
-                for e, c in g.terms.items():
-                    t = tuple(a + b for a, b in zip(e, shift))
-                    if sum(t) < K:
-                        row[t] = row.get(t, _F0) + c
-                row = {e: c for e, c in row.items() if c}
-                if row:
-                    reduce_insert(row)
-
-    jet_dim = math.comb(K - 1 + n, n)
-    return jet_dim - len(echelon)
+                    shift[i + 1] += 1
+                row = {}
+                for t, c in g.items():
+                    if t[0] + shift[0] < degree_bound:
+                        row[tuple(map(add, t, shift))] = c
+                while row:
+                    pivot = min(row)
+                    other = echelon.get(pivot)
+                    if other is None:
+                        content = math.gcd(*row.values())
+                        if row[pivot] < 0:
+                            content = -content
+                        if content != 1:
+                            row = {t: c // content for t, c in row.items()}
+                        echelon[pivot] = row
+                        pivots_of_degree[pivot[0]] += 1
+                        break
+                    # row * (lc(other)/h) - other * (lc(row)/h) cancels the pivot
+                    h = math.gcd(row[pivot], other[pivot])
+                    mult, factor = other[pivot] // h, row[pivot] // h
+                    if mult != 1:
+                        row = {t: c * mult for t, c in row.items()}
+                    for t, c in other.items():
+                        v = row.get(t, 0) - factor * c
+                        if v:
+                            row[t] = v
+                        else:
+                            del row[t]
+        # pivots of degree low are final once the rows starting there are in
+        rank_below += pivots_of_degree[low]
+        if low:
+            yield math.comb(low + n, n) - rank_below
 
 
 def milnor_via_macaulay(f: Polynomial, degree_bound: int = 24) -> OracleResult:
     """Milnor number at the origin by rank computations on truncated jets.
 
-    The codimension of the Jacobian span is monotone in the truncation
-    order; two consecutive equal values certify stabilization. Failure to
-    stabilize within the bound means the critical locus is not isolated.
+    c(K) = dim O/(J + m^K), for the Jacobian ideal J, is read off one
+    integer echelon of the monomial multiples of the partials that grows
+    with K under a local pivot order (see `_jet_colengths`). c(K) is
+    monotone in K, and two consecutive equal values give m^K inside J by
+    Nakayama, so they certify stabilization. Failure to stabilize by
+    K = degree_bound means the critical locus is not isolated.
     """
     if f.is_constant():
         raise InputError("constant polynomial has no Milnor number")
-    frame = f.frame
-    partials = [f.partial(i) for i in range(frame.ambient_dimension)]
+    n = f.frame.ambient_dimension
+    partials = [f.partial(i) for i in range(n)]
     prev: Optional[int] = None
-    for K in range(2, degree_bound + 1):
-        c = _jet_colength(partials, frame, K)
-        if prev is not None and c == prev:
+    for K, c in enumerate(_jet_colengths(partials, n, degree_bound), start=2):
+        if c == prev:
             return OracleResult(
                 c,
                 "macaulay",
-                {
-                    "stabilized_at": K,
-                    "jet_dimension": math.comb(K - 1 + frame.ambient_dimension, frame.ambient_dimension),
-                },
+                {"stabilized_at": K, "jet_dimension": math.comb(K - 1 + n, n)},
             )
         prev = c
     raise MathematicalRefusal(
@@ -270,9 +301,36 @@ def chi_thom_sebastiani(f: Polynomial) -> OracleResult:
 
 # -- monomial ideals ------------------------------------------------------------------
 
+def _staircase_count(exps: Sequence[Exponent]) -> int:
+    """Number of monomials outside the ideal generated by x^e, e in exps,
+    all of one length n, which holds a pure power of every variable.
+
+    A monomial x'^b * x_n^t lies outside exactly when x'^b lies outside the
+    ideal of the x'-parts of the generators with e_n <= t. That ideal only
+    changes where t reaches a new exponent of x_n, so the count sums, over
+    consecutive distinct exponents v < w of x_n, the width w - v times the
+    count in n - 1 variables at v. From the pure power of x_n on, the
+    x'-parts hold the unit monomial and count nothing."""
+    if not exps or not exps[0]:
+        # no variables left (given the pure powers, the only place an empty
+        # set reaches): the monomial 1 lies outside unless a generator is 1
+        return 0 if exps else 1
+    by_last: Dict[int, List[Exponent]] = {}
+    for e in exps:
+        by_last.setdefault(e[-1], []).append(e[:-1])
+    total, start, inside = 0, 0, []
+    for v in sorted(by_last):
+        if v > start:
+            total += (v - start) * _staircase_count(inside)
+        inside += by_last[v]
+        start = v
+    return total
+
+
 def monomial_colength(monomials: Sequence[Polynomial]) -> OracleResult:
-    """Colength of a monomial ideal by inclusion-exclusion over its
-    generators, a different route than the staircase walk in the engine."""
+    """Colength of a monomial ideal by an exact staircase count that
+    recurses on the last variable (`_staircase_count`), a different route
+    than the staircase walk in the engine."""
     monomials = list(monomials)
     if not monomials:
         raise InputError("need at least one monomial generator")
@@ -299,18 +357,6 @@ def monomial_colength(monomials: Sequence[Polynomial]) -> OracleResult:
         raise MathematicalRefusal(
             "monomial ideal has infinite colength (missing a pure power)"
         )
-    total = 0
-    for size in range(len(E) + 1):
-        for S in itertools.combinations(E, size):
-            l = [0] * n
-            for e in S:
-                l = [max(a, b) for a, b in zip(l, e)]
-            prod = 1
-            for b, li in zip(bounds, l):
-                prod *= max(0, b - li)
-                if not prod:
-                    break
-            total += (-1) ** size * prod
     return OracleResult(
-        total, "monomial_count", {"generators": len(E), "box": list(bounds)}
+        _staircase_count(E), "monomial_count", {"generators": len(E), "box": list(bounds)}
     )

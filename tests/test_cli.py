@@ -142,6 +142,17 @@ class TestModes:
         assert code == 2
         assert "use defect mode" in rep["error"]["message"]
 
+    def test_euler_check_refusal_names_the_dimension(self):
+        rep, code = run_job(job(mode="euler-check", vars=["x", "y"], X=["x*y"], f="0"))
+        assert (code, rep["result"]) == (2, None)
+        assert rep["error"] == {
+            "kind": "refusal",
+            "message": "degeneracy locus has dimension 1 at the origin; "
+            "use defect mode for the full sum",
+        }
+        assert rep["frame"]["provenance"] == "genericized"
+        assert rep["properness_log"]
+
     def test_euler_check_generic_form(self):
         rep, code = run_job(
             job(mode="euler-check", vars=["x", "y"], X=["x*y"], f="-3*x - 7*y")
